@@ -189,11 +189,11 @@ func BenchmarkMPILatency(b *testing.B) {
 
 // --- Simulator hot paths: wall-clock and allocation benchmarks ---
 //
-// These three benchmarks measure the simulator itself (not the modeled
-// hardware): the kernel event loop, raw fabric forwarding, and the full
-// FM send/extract stack. CI runs them as a build/panic smoke test; their
-// allocs/op are the regression surface for the engine's allocation
-// discipline (see DESIGN.md "Performance").
+// These benchmarks measure the simulator itself (not the modeled
+// hardware): the kernel event loop, process handoff, raw fabric
+// forwarding, and the full FM send/extract stack. CI runs them as a
+// build/panic smoke test; their allocs/op are the regression surface
+// for the engine's allocation discipline (see DESIGN.md "Performance").
 
 // BenchmarkKernelEvents drives the bare event loop: processes sleeping
 // in a tight loop plus a chain of plain events, no network model at all.
@@ -216,6 +216,37 @@ func BenchmarkKernelEvents(b *testing.B) {
 			}
 		}
 		k.After(sim.Microsecond, tick)
+		if err := k.RunAll(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProcHandoff isolates process handoff: two processes
+// ping-pong through a pair of signals at one virtual instant, so every
+// wake is a switch from one process to the other (2000 per op) and
+// nothing else runs.
+func BenchmarkProcHandoff(b *testing.B) {
+	b.ReportAllocs()
+	const rounds = 1000
+	for i := 0; i < b.N; i++ {
+		k := sim.NewKernel()
+		ping, pong := sim.NewSignal(k, "ping"), sim.NewSignal(k, "pong")
+		// The ponger is spawned first, so it is waiting before the first
+		// ping; it parks for good after the last pong and is unwound by
+		// teardown.
+		k.Spawn("ponger", func(p *sim.Proc) {
+			for {
+				p.Wait(ping)
+				pong.Pulse()
+			}
+		})
+		k.Spawn("pinger", func(p *sim.Proc) {
+			for j := 0; j < rounds; j++ {
+				ping.Pulse()
+				p.Wait(pong)
+			}
+		})
 		if err := k.RunAll(); err != nil {
 			b.Fatal(err)
 		}

@@ -7,19 +7,17 @@ import (
 
 // Kernel is the event loop at the heart of a simulation. It owns the
 // virtual clock and the event queue and coordinates process scheduling.
-// A Kernel (and everything scheduled on it) must be driven from a single
-// goroutine; process goroutines are synchronized internally so that only
-// one of them is ever runnable at a time.
+// A Kernel (and everything scheduled on it) must be driven from one
+// goroutine at a time; processes are coroutines that only the kernel
+// resumes, so exactly one of them runs at any instant.
 //
-// Scheduling is symmetric: there is no dedicated scheduler goroutine
-// that every process handoff must bounce through. Whichever goroutine
-// holds control — the Run caller initially, afterwards whichever process
-// last blocked — drives the event loop itself (see drive), and hands the
-// baton directly to the next process to wake. A process-to-process
-// switch therefore costs one channel rendezvous instead of two, and a
-// process whose own wake event is next continues without any rendezvous
-// at all. Event order is untouched: the queue pops in the same (at, seq)
-// order regardless of which goroutine is driving.
+// Scheduling has a single resumer. Step (and teardown) is the only code
+// that resumes a process coroutine. A process that blocks drives the
+// event loop itself (see drive) until a wake comes up: its own wake
+// lets it continue without any switch at all; another process's wake
+// is recorded in the handed slot, and the blocking process yields back
+// to Step, which resumes the handed process. Event order is untouched:
+// the queue pops in the same (at, seq) order regardless of who drives.
 type Kernel struct {
 	now     Time
 	q       ladder
@@ -31,23 +29,22 @@ type Kernel struct {
 	// wake is the deferred process-resume slot: the rare event callbacks
 	// that wake a process from inside arbitrary code (WaitTimeout's
 	// timer, via requestWake) record it here, and the drive loop
-	// performs the actual baton handoff in tail position. The hot wake
-	// form is a nil-fn event handled directly by drive. At most one
-	// event callback runs at a time and each wakes at most one process,
-	// so a single slot suffices.
+	// performs the actual handoff in tail position. The hot wake form is
+	// a nil-fn event handled directly by drive. At most one event
+	// callback runs at a time and each wakes at most one process, so a
+	// single slot suffices.
 	wake *Proc
 
-	// yield is the handoff channel on which the goroutine that completes
-	// (or tears down) a run returns control to the Run caller. It is
-	// unbuffered: every transfer is a strict rendezvous.
-	yield chan struct{}
+	// handed is the process drive chose to run next when it was not the
+	// driving process itself. The driver yields, and Step resumes it.
+	handed *Proc
 
 	// parked holds processes blocked on a Signal (as opposed to a timed
-	// sleep, which keeps a pending event alive). Stop uses it to unwind
-	// their goroutines.
-	parked map[*Proc]struct{}
+	// sleep, which keeps a pending event alive). Teardown uses it to
+	// unwind them. Each parked process records its position in
+	// Proc.parkSlot, so parking and unparking cost O(1) without hashing.
+	parked []*Proc
 
-	procs     int // live process count
 	nextProc  int
 	trace     *Trace
 	eventsRun uint64
@@ -55,10 +52,7 @@ type Kernel struct {
 
 // NewKernel returns a kernel with the clock at zero and no pending events.
 func NewKernel() *Kernel {
-	return &Kernel{
-		yield:  make(chan struct{}),
-		parked: make(map[*Proc]struct{}),
-	}
+	return &Kernel{}
 }
 
 // Now returns the current virtual time.
@@ -108,11 +102,11 @@ func (k *Kernel) AfterArg(d Duration, fn func(any), arg any) {
 
 // drive outcomes.
 const (
-	// driveHanded: the baton went to another process; the calling
-	// goroutine must park (or exit, if its process has terminated).
+	// driveHanded: another process must run next; it is in k.handed,
+	// and the driving process yields so that Step can resume it.
 	driveHanded = iota
 	// driveSelf: the next event resumed the driving process itself; it
-	// simply keeps running — no rendezvous happened.
+	// simply keeps running — no switch happened.
 	driveSelf
 	// driveDone: the run is complete (queue empty, horizon reached, or a
 	// failure recorded); control belongs back with the Run caller.
@@ -120,10 +114,10 @@ const (
 )
 
 // drive executes events until the run completes or a process other than
-// self must be resumed, in which case it sends the baton and returns
-// driveHanded. self is the process whose goroutine is driving (nil for
-// the Run caller or a terminated process); a wake addressed to self
-// returns driveSelf without any channel traffic.
+// self must be resumed, in which case it records that process in
+// k.handed and returns driveHanded. self is the process that is driving
+// (nil for Step itself); a wake addressed to self returns driveSelf
+// without any switch.
 //
 // Process wakes appear in two forms: as wake events (fn == nil, arg =
 // *Proc — the hot form Sleep, Pulse, and Spawn schedule, handled here
@@ -144,7 +138,7 @@ func (k *Kernel) drive(self *Proc) int {
 			if p == self {
 				return driveSelf
 			}
-			p.resume <- struct{}{}
+			k.handed = p
 			return driveHanded
 		}
 		if k.failure != nil || q.count == 0 {
@@ -169,7 +163,7 @@ func (k *Kernel) drive(self *Proc) int {
 				if p == self {
 					return driveSelf
 				}
-				p.resume <- struct{}{}
+				k.handed = p
 				return driveHanded
 			}
 			e.call()
@@ -227,14 +221,36 @@ func (k *Kernel) RunAll() error { return k.Run(MaxTime) }
 // drives barrier-to-barrier; a completed sequence of Steps must end
 // with Finish to unwind parked processes. It returns the first process
 // failure, if any.
+//
+// Step is the single resumer of process coroutines during a run. A
+// resumed process returns here when it blocks with another process
+// handed on (resume that one), when the run completes, or when its
+// function ends; the latter two fall back to drive, which reports the
+// run complete or carries on where the process left off.
 func (k *Kernel) Step(horizon Time) error {
 	k.horizon = horizon
-	if k.drive(nil) == driveHanded {
-		// The baton is out with the processes; park until whichever
-		// goroutine completes the window hands it back.
-		<-k.yield
+	for k.drive(nil) == driveHanded {
+		for p := k.handed; p != nil; p = k.handed {
+			k.handed = nil
+			k.resume(p)
+		}
 	}
 	return k.failure
+}
+
+// resume switches to p's coroutine until p blocks or its function ends.
+// A process gets a coroutine from the free list at its first resume and
+// gives it back when it is dead.
+func (k *Kernel) resume(p *Proc) {
+	if p.co == nil {
+		p.co = getCoro()
+		p.co.p = p
+	}
+	p.co.next()
+	if p.dead {
+		putCoro(p.co)
+		p.co = nil
+	}
 }
 
 // Finish ends a Step sequence: it unwinds any processes still parked on
@@ -255,37 +271,33 @@ func (k *Kernel) NextEventAt() (Time, bool) {
 	return k.q.PeekAt(), true
 }
 
-// stopParked wakes every process blocked on a signal with the stop
-// sentinel so its goroutine can exit. Timed sleepers are abandoned (their
-// wake events were drained or are beyond the horizon); their goroutines
-// are released the same way if their events remain.
+// stopParked resumes every process blocked on a signal under k.stopped,
+// so that it unwinds with the stop sentinel. Timed sleepers are
+// abandoned (their wake events were drained or are beyond the horizon);
+// they unwind the same way when the remaining events are drained.
 func (k *Kernel) stopParked() {
 	k.stopped = true
 	for len(k.parked) > 0 {
 		// Deterministic order: lowest process id first.
-		ps := make([]*Proc, 0, len(k.parked))
-		for p := range k.parked {
-			ps = append(ps, p)
-		}
+		ps := append([]*Proc(nil), k.parked...)
 		sort.Slice(ps, func(i, j int) bool { return ps[i].id < ps[j].id })
 		for _, p := range ps {
-			if _, still := k.parked[p]; still {
-				delete(k.parked, p)
-				k.rendezvous(p)
+			if p.parkSlot != 0 {
+				k.unpark(p)
+				k.resume(p)
 			}
 		}
 	}
 	// Any remaining timed sleepers still hold pending wake events; run
-	// them so the goroutines observe stopped and unwind.
+	// them so the processes observe stopped and unwind.
 	for k.q.Len() > 0 {
 		e := k.q.Pop()
 		// Do not advance the clock during teardown. A failed run can
 		// leave stale wakes for processes that already unwound (e.g. a
-		// Pulse drained here naming a dead waiter); skip those — a dead
-		// process's goroutine is gone and cannot take a rendezvous.
+		// Pulse drained here naming a dead waiter); skip those.
 		if e.fn == nil {
 			if p := e.arg.(*Proc); !p.dead {
-				k.rendezvous(p)
+				k.resume(p)
 			}
 			continue
 		}
@@ -293,19 +305,25 @@ func (k *Kernel) stopParked() {
 		if p := k.wake; p != nil {
 			k.wake = nil
 			if !p.dead {
-				k.rendezvous(p)
+				k.resume(p)
 			}
 		}
 	}
 }
 
-// rendezvous transfers control to p and waits for it to give control
-// back on the yield channel. It is the teardown-path handoff: during a
-// run, transfers go through drive instead, which does not take control
-// back.
-func (k *Kernel) rendezvous(p *Proc) {
-	p.resume <- struct{}{}
-	<-k.yield
+// unpark removes p from the parked set if it is there.
+func (k *Kernel) unpark(p *Proc) {
+	i := p.parkSlot - 1
+	if i < 0 {
+		return
+	}
+	n := len(k.parked) - 1
+	last := k.parked[n]
+	k.parked[i] = last
+	last.parkSlot = i + 1
+	k.parked[n] = nil
+	k.parked = k.parked[:n]
+	p.parkSlot = 0
 }
 
 // fail records the first process failure; the run loop stops on the next

@@ -1,16 +1,20 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"sync"
+)
 
-// stopSentinel is panicked inside a process goroutine when the kernel is
-// tearing down, so that blocked processes unwind their stacks and exit.
+// stopSentinel is panicked inside a process when the kernel is tearing
+// down, so that blocked processes unwind their stacks and exit.
 type stopSentinel struct{}
 
-// procFailure wraps a panic raised on a process goroutine so the kernel
-// can surface it from Run instead of deadlocking. driving distinguishes
-// a panic in the process's own code from one raised by an event
-// callback the process happened to be executing as the event-loop
-// driver (see block) — the latter is not the process's fault.
+// procFailure wraps a panic raised inside a process so the kernel can
+// surface it from Run. driving distinguishes a panic in the process's
+// own code from one raised by an event callback the process happened to
+// be executing as the event-loop driver (see block) — the latter is not
+// the process's fault.
 type procFailure struct {
 	proc    string
 	val     any
@@ -24,27 +28,35 @@ func (f procFailure) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v", f.proc, f.val)
 }
 
-// Proc is a simulated process: a goroutine that advances virtual time by
-// blocking on kernel primitives. All Proc methods must be called from
-// within the process's own function.
+// Proc is a simulated process: a function running on its own coroutine
+// that advances virtual time by blocking on kernel primitives. The
+// kernel is the coroutine's only resumer. All Proc methods must be
+// called from within the process's own function.
 type Proc struct {
-	k      *Kernel
-	id     int
-	name   string
-	resume chan struct{}
+	k    *Kernel
+	id   int
+	name string
+	fn   func(*Proc)
 
-	// driving is true while this process's goroutine is inside the
-	// kernel's drive loop (executing other components' events); it
-	// attributes an escaping event-callback panic to the callback
-	// rather than the process.
+	// co is the pooled coroutine running fn. It is taken from the free
+	// list at the process's first resume and returned once fn has ended.
+	co *coro
+
+	// driving is true while this process is inside the kernel's drive
+	// loop (executing other components' events); it attributes an
+	// escaping event-callback panic to the callback rather than the
+	// process.
 	driving bool
 
-	// dead marks a process whose goroutine has finished (normally or by
-	// panic). Teardown must never rendezvous with a dead process: its
-	// goroutine no longer receives, so the handoff would hang. A live
-	// run never wakes a dead process (wake events are consumed by the
-	// block that scheduled them), but a process that fails while driving
-	// can leave stale wake state behind for teardown to encounter.
+	// parkSlot is the process's index in the kernel's parked set plus
+	// one, or zero while it is not parked on a signal.
+	parkSlot int
+
+	// dead marks a process whose function has ended (normally or by
+	// panic). Teardown must never resume a dead process. A live run
+	// never wakes a dead process (wake events are consumed by the block
+	// that scheduled them), but a process that fails while driving can
+	// leave stale wake state behind for teardown to encounter.
 	dead bool
 
 	// wreg is the reusable wait registration for plain (untimed) signal
@@ -69,71 +81,50 @@ func (p *Proc) Now() Time { return p.k.now }
 // time (after already-queued events at this instant).
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	k.nextProc++
-	p := &Proc{k: k, id: k.nextProc, name: name, resume: make(chan struct{})}
-	k.procs++
-	go func() {
-		<-p.resume
-		sentinel := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, isStop := r.(stopSentinel); isStop {
-						sentinel = true
-					} else {
-						k.fail(procFailure{proc: name, val: r, driving: p.driving})
-					}
-				}
-			}()
-			fn(p)
-		}()
-		k.procs--
-		p.dead = true
-		// A panic that unwound through a blocking primitive (possibly
-		// while this goroutine was driving another component's event)
-		// can leave the process still registered as parked; teardown
-		// must not try to resume it.
-		delete(k.parked, p)
-		if sentinel || k.stopped {
-			// Teardown: hand control back to the teardown rendezvous.
-			k.yield <- struct{}{}
-			return
-		}
-		// The process finished while holding the baton: keep driving the
-		// run from this goroutine, then exit once the baton is handed on
-		// (to the next process, or to the Run caller when the run is
-		// complete — a failure recorded above completes it immediately).
-		if k.drive(nil) == driveDone {
-			k.yield <- struct{}{}
-		}
-	}()
+	p := &Proc{k: k, id: k.nextProc, name: name, fn: fn}
 	k.scheduleWake(k.now, p)
 	return p
 }
 
-// block gives up control and waits to be resumed. The blocking process
-// drives the event loop itself until the baton moves on: to another
-// process (park until our own wake), to nobody because our own wake came
-// up next (driveSelf: just keep running), or back to the Run caller when
-// the run completes. If the kernel has stopped, control goes straight to
-// the teardown rendezvous and the resume unwinds the goroutine.
+// run executes the process's function on its coroutine. A panic is
+// recorded as the run's failure, except the stop sentinel, which is how
+// teardown unwinds a blocked process.
+func (p *Proc) run() {
+	k := p.k
+	defer func() {
+		if r := recover(); r != nil {
+			if _, isStop := r.(stopSentinel); !isStop {
+				k.fail(procFailure{proc: p.name, val: r, driving: p.driving})
+			}
+		}
+		p.dead = true
+		// A panic that unwound through a blocking primitive (possibly
+		// while this process was driving another component's event)
+		// can leave the process still registered as parked; teardown
+		// must not try to resume it.
+		k.unpark(p)
+	}()
+	p.fn(p)
+}
+
+// block gives up control until the process's wake. The blocking process
+// drives the event loop itself: when its own wake comes up next
+// (driveSelf) it just keeps running; otherwise it yields to the kernel,
+// which resumes whichever process drive handed control to, or returns
+// to the Run caller when the run is complete. A process resumed by
+// teardown (or blocking during it) unwinds with the stop sentinel.
 func (p *Proc) block() {
 	k := p.k
 	if k.stopped {
-		k.yield <- struct{}{}
-	} else {
-		p.driving = true
-		res := k.drive(p)
-		p.driving = false
-		switch res {
-		case driveSelf:
-			return
-		case driveHanded:
-			// Our wake event is still pending; park below.
-		case driveDone:
-			k.yield <- struct{}{}
-		}
+		panic(stopSentinel{})
 	}
-	<-p.resume
+	p.driving = true
+	res := k.drive(p)
+	p.driving = false
+	if res == driveSelf {
+		return
+	}
+	p.co.yield(struct{}{})
 	if k.stopped {
 		panic(stopSentinel{})
 	}
@@ -173,6 +164,78 @@ func (p *Proc) SleepUntil(t Time) {
 // park records the process as signal-blocked and yields. The waker is
 // responsible for removing it from the parked set before resuming.
 func (p *Proc) park() {
-	p.k.parked[p] = struct{}{}
+	k := p.k
+	k.parked = append(k.parked, p)
+	p.parkSlot = len(k.parked)
 	p.block()
+}
+
+// coro is a pooled coroutine that runs process functions one after
+// another: it runs one, yields idle, and waits in the free list for the
+// next. Pooling matters because creating an iter.Pull coroutine costs
+// about ten allocations and a goroutine, and process-dense simulations
+// spawn hundreds of processes per run.
+type coro struct {
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // the process whose function the coroutine runs
+}
+
+// maxIdleCoros bounds the free list. Coroutines released beyond it are
+// stopped, so a run with tens of thousands of processes does not pin as
+// many idle stacks after it ends.
+const maxIdleCoros = 1024
+
+// coroPool is the package-level free list. It is shared by every kernel
+// and guarded by a mutex, because shard kernels and sweep workers run
+// on several goroutines at once. It is not a sync.Pool: that drops
+// entries at garbage collection without stopping them, which would
+// leak their goroutines.
+var coroPool struct {
+	sync.Mutex
+	idle []*coro
+}
+
+// getCoro takes an idle coroutine from the free list, or creates one.
+func getCoro() *coro {
+	coroPool.Lock()
+	if n := len(coroPool.idle); n > 0 {
+		c := coroPool.idle[n-1]
+		coroPool.idle[n-1] = nil
+		coroPool.idle = coroPool.idle[:n-1]
+		coroPool.Unlock()
+		return c
+	}
+	coroPool.Unlock()
+	c := new(coro)
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+// putCoro returns an idle coroutine to the free list, stopping it
+// instead when the list is full.
+func putCoro(c *coro) {
+	c.p = nil
+	coroPool.Lock()
+	keep := len(coroPool.idle) < maxIdleCoros
+	if keep {
+		coroPool.idle = append(coroPool.idle, c)
+	}
+	coroPool.Unlock()
+	if !keep {
+		c.stop()
+	}
+}
+
+// loop is the coroutine body: run the assigned process's function, then
+// yield idle until the kernel assigns the next or stops the coroutine.
+func (c *coro) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for {
+		c.p.run()
+		if !yield(struct{}{}) {
+			return
+		}
+	}
 }

@@ -49,7 +49,7 @@ func (s *Signal) Pulse() {
 			continue
 		}
 		r.fired = true
-		delete(s.k.parked, r.p)
+		s.k.unpark(r.p)
 		s.k.scheduleWake(s.k.now, r.p)
 	}
 	for i := range regs {
@@ -90,7 +90,7 @@ func (p *Proc) WaitTimeout(s *Signal, d Duration) bool {
 		}
 		reg.fired = true
 		reg.timedOut = true
-		delete(k.parked, p)
+		k.unpark(p)
 		k.requestWake(p)
 	})
 	p.park()
