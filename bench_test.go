@@ -17,8 +17,11 @@ import (
 	"fm/internal/bench"
 	"fm/internal/core"
 	"fm/internal/cost"
+	"fm/internal/lanai"
+	"fm/internal/lcp"
 	"fm/internal/myriapi"
 	"fm/internal/myrinet"
+	"fm/internal/sbus"
 	"fm/internal/sim"
 	"fm/internal/workload"
 )
@@ -339,6 +342,35 @@ func BenchmarkFMSendExtract(b *testing.B) {
 		_, mbps = bench.FMStream(bench.ConfigFullFM(), p, benchSize, 512)
 	}
 	b.ReportMetric(mbps, "sim-MB/s")
+}
+
+// BenchmarkLCPStream isolates the LANai control program: two cards on
+// a crossbar stream 512 synthetic frames to each other with the
+// streamed loop (the Fig. 3 mode), so only the firmware loop, the LANai
+// device and the fabric run — no hosts, SBus transfers or processes.
+// Every frame costs each loop a send step and a receive step.
+func BenchmarkLCPStream(b *testing.B) {
+	b.ReportAllocs()
+	p := cost.Default()
+	const frames = 512
+	for i := 0; i < b.N; i++ {
+		k := sim.NewKernel()
+		fab := myrinet.NewCrossbar(k, p, 2, 8)
+		qc := lanai.DefaultQueues(benchSize + p.FMHeaderBytes)
+		got := 0
+		for n := 0; n < 2; n++ {
+			d := lanai.New(k, p, sbus.New(k, p, "sbus"), fab, n, qc)
+			lcp.Start(d, lcp.Options{Streamed: true, Source: lcp.Synthetic, SynthDst: 1 - n,
+				OnReceive: func(*myrinet.Packet) { got++ }})
+			d.SetSynthetic(frames, benchSize)
+		}
+		if err := k.RunAll(); err != nil {
+			b.Fatal(err)
+		}
+		if got != 2*frames {
+			b.Fatalf("received %d/%d", got, 2*frames)
+		}
+	}
 }
 
 // BenchmarkWorkloadDrive pushes the uniform-random workload pattern

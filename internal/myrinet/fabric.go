@@ -95,6 +95,10 @@ type Fabric struct {
 	// a packet that crossed shards recycles into the pool of the shard
 	// that delivered it.
 	pool []*Packet
+	// out counts packets NewPacket handed out minus packets Released
+	// here. A packet that crosses shards is released into another
+	// replica, so in a sharded run only the sum over replicas balances.
+	out int
 
 	// deliverFn is the shared delivery event callback (arg = *Packet),
 	// allocated once so Inject schedules deliveries without a closure.
@@ -125,8 +129,10 @@ func (f *Fabric) NewPacket() *Packet {
 		f.pool[n-1] = nil
 		f.pool = f.pool[:n-1]
 		p.pooled = false
+		f.out++
 		return p
 	}
+	f.out++
 	return &Packet{}
 }
 
@@ -141,7 +147,14 @@ func (f *Fabric) Release(p *Packet) {
 	p.reset()
 	p.pooled = true
 	f.pool = append(f.pool, p)
+	f.out--
 }
+
+// Outstanding reports how many packets taken from this fabric's pool
+// have not been released back to it: those queued on cards and hosts,
+// in flight, or leaked. A finished single-kernel run that drained every
+// queue must report zero.
+func (f *Fabric) Outstanding() int { return f.out }
 
 // NewFabric compiles a Topology into a live fabric on the given kernel:
 // it instantiates every switch's output-port resources, one uplink per

@@ -58,6 +58,13 @@ func NewKernel() *Kernel {
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
+// Stopped reports whether the kernel is tearing down: Run has passed
+// its horizon, or Finish has run. Teardown still drains pending events;
+// a component that runs as a chain of events rather than as a process
+// checks Stopped at each step and does nothing, as a blocked process
+// would unwind.
+func (k *Kernel) Stopped() bool { return k.stopped }
+
 // EventsRun reports how many events the kernel has executed, which is a
 // useful determinism fingerprint in tests.
 func (k *Kernel) EventsRun() uint64 { return k.eventsRun }

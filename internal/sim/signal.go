@@ -1,12 +1,13 @@
 package sim
 
-// Signal is a broadcast condition variable for processes. A process calls
-// Wait (or WaitTimeout) to block; any code — event callbacks, devices, or
-// other processes — calls Pulse to wake every process currently waiting.
-// Wakes are scheduled as events at the current instant, preserving
-// deterministic ordering. A Signal has no memory: a Pulse with no waiters
-// is lost, so callers must re-check their condition around Wait (the
-// standard condition-variable discipline).
+// Signal is a broadcast condition variable. A process calls Wait (or
+// WaitTimeout) to block, and an event-driven component registers a
+// callback with Notify; any code — event callbacks, devices, or
+// processes — calls Pulse to wake every current waiter. Wakes are
+// scheduled as events at the current instant, in registration order,
+// preserving deterministic ordering. A Signal has no memory: a Pulse
+// with no waiters is lost, so callers must re-check their condition
+// around Wait or Notify (the standard condition-variable discipline).
 type Signal struct {
 	k       *Kernel
 	name    string
@@ -14,12 +15,23 @@ type Signal struct {
 	pulses  uint64
 }
 
-// waitReg tracks one blocked waiter. fired prevents a double resume when
-// a timeout and a pulse land at the same instant.
+// waitReg tracks one waiter: a blocked process, or the Notify callback
+// cb when set. fired prevents a double resume when a timeout and a
+// pulse land at the same instant.
 type waitReg struct {
 	p        *Proc
+	cb       *Waiter
 	fired    bool
 	timedOut bool
+}
+
+// Waiter is caller-owned storage for one Notify registration, so that
+// registering allocates nothing. A component that waits on one signal
+// at a time embeds a single Waiter and reuses it.
+type Waiter struct {
+	reg waitReg
+	fn  func(any)
+	arg any
 }
 
 // NewSignal creates a signal attached to k. The name is used in traces.
@@ -31,8 +43,10 @@ func NewSignal(k *Kernel, name string) *Signal {
 // stats).
 func (s *Signal) Pulses() uint64 { return s.pulses }
 
-// Pulse wakes every process currently waiting on s. Waiters resume at the
-// current virtual time, in the order they began waiting.
+// Pulse wakes every current waiter of s: each blocked process resumes,
+// and each Notify callback runs, at the current virtual time, in the
+// order they registered. A callback's event takes exactly the queue
+// position a process wake would have taken.
 func (s *Signal) Pulse() {
 	s.pulses++
 	if len(s.waiters) == 0 {
@@ -49,6 +63,10 @@ func (s *Signal) Pulse() {
 			continue
 		}
 		r.fired = true
+		if w := r.cb; w != nil {
+			s.k.AtArg(s.k.now, w.fn, w.arg)
+			continue
+		}
 		s.k.unpark(r.p)
 		s.k.scheduleWake(s.k.now, r.p)
 	}
@@ -63,6 +81,17 @@ func pulseArg(a any) { a.(*Signal).Pulse() }
 // PulseAfter schedules a Pulse d from now, without allocating a closure.
 // Layers use it to arm wakeups (e.g. retransmission deadlines).
 func (s *Signal) PulseAfter(d Duration) { s.k.AfterArg(d, pulseArg, s) }
+
+// Notify registers fn(arg) to run once, as an event at the instant of
+// the next Pulse of s. It is the callback form of Wait, for components
+// that run as chains of events rather than as processes: w is the
+// registration's storage and must not already be registered. Like Wait,
+// Notify does not see pulses that came before it.
+func (s *Signal) Notify(w *Waiter, fn func(any), arg any) {
+	w.fn, w.arg = fn, arg
+	w.reg = waitReg{cb: w}
+	s.waiters = append(s.waiters, &w.reg)
+}
 
 // Wait blocks the calling process until the next Pulse. It reuses the
 // process's embedded registration, so waiting allocates nothing: an
