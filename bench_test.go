@@ -455,6 +455,26 @@ func BenchmarkSoakDrive(b *testing.B) {
 	b.ReportMetric(backlog, "sim-backlog")
 }
 
+// BenchmarkMPIAllToAll runs one all-to-all round through MPI on the
+// full FM stack on a 16-node Clos: every rank posts wildcard receives
+// for its share up front, so each arriving message runs MPI matching
+// against the posted list and reassembly of its two FM fragments (a
+// 112-byte payload plus the MPI header overflows one 128-byte frame).
+// It is the layer benchmark for MPI matching, and the workload where
+// host charges are densest per message. Baseline numbers live in
+// BENCH_pr15.json.
+func BenchmarkMPIAllToAll(b *testing.B) {
+	b.ReportAllocs()
+	p := cost.Default()
+	spec := workload.ClosSpec(16)
+	var mbps float64
+	for i := 0; i < b.N; i++ {
+		res := workload.DriveMPI(spec, core.DefaultConfig(), p, workload.AllToAll{Rounds: 1}, 112)
+		mbps = res.MBps()
+	}
+	b.ReportMetric(mbps, "sim-MB/s")
+}
+
 // --- Ablation benches: the DESIGN.md design choices ---
 
 func BenchmarkAblationBurstPIO(b *testing.B) {

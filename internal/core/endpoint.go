@@ -286,7 +286,11 @@ func (ep *Endpoint) attachAcks(pkt *myrinet.Packet) {
 }
 
 // pushFrame moves one frame to the LANai via the configured SBus
-// architecture, blocking for space as needed.
+// architecture, blocking for space as needed. The host charges of the
+// send call stay pending (package host) until the frame first touches
+// the card: the queue-space check, or, under buffer management, whose
+// cached-counter check reads only host-owned counters, the bus access
+// that follows it. Either settles them as one chain.
 func (ep *Endpoint) pushFrame(pkt *myrinet.Packet) {
 	if ep.cfg.SBusMode == AllDMA {
 		ep.pushFrameAllDMA(pkt)
@@ -299,6 +303,7 @@ func (ep *Endpoint) pushFrame(pkt *myrinet.Packet) {
 		ep.cpu.Advance(ep.p.HostBufMgmtSend)
 		ep.ensureSpace(ep.dev.SendQ, &ep.cachedSendConsumed)
 	} else {
+		ep.cpu.Sync()
 		for ep.dev.SendQ.Full() {
 			ep.cpu.Wait(ep.dev.SendFreed)
 		}
@@ -317,11 +322,13 @@ func (ep *Endpoint) pushFrameAllDMA(pkt *myrinet.Packet) {
 		ep.cpu.Advance(ep.p.HostBufMgmtSend)
 		ep.ensureSpace(ep.dev.HostOutQ, &ep.cachedOutConsumed)
 	} else {
+		ep.cpu.Sync()
 		for ep.dev.HostOutQ.Full() {
 			ep.cpu.Wait(ep.dev.SendFreed)
 		}
 	}
 	ep.cpu.Memcpy(pkt.WireBytes())
+	ep.cpu.Sync()
 	ep.dev.HostOutQ.Push(pkt)
 	ep.cpu.ControlWrite() // message pointer
 	ep.cpu.ControlWrite() // send trigger
@@ -333,7 +340,10 @@ func (ep *Endpoint) pushFrameAllDMA(pkt *myrinet.Packet) {
 // owns the produced counter and caches the LANai's consumed counter,
 // paying an expensive SBus status read only when its cached view says the
 // queue is full ("allowing each to own its respective counter reduces the
-// amount of synchronization", Section 4.4).
+// amount of synchronization", Section 4.4). Until that status read, which
+// settles any pending host charges, its answer depends on the host's own
+// counters alone: the card's consumed count never falls below the cached
+// copy, so a queue the cache calls not full is not full at any instant.
 func (ep *Endpoint) ensureSpace(q *ring.Ring[*myrinet.Packet], cached *uint64) {
 	for {
 		if q.Produced()-*cached < uint64(q.Cap()) {

@@ -20,7 +20,15 @@ const consumedSyncBatch = 8
 func (ep *Endpoint) Extract() int {
 	ep.cpu.Advance(ep.p.HostExtractPoll)
 	delivered := 0
-	for !ep.dev.HostRecvQ.Empty() {
+	for {
+		// Host charges are deferred (package host), so each look at the
+		// card's queue comes after a Sync. The loop only exits through
+		// it: the rest of Extract starts settled, and every charge it
+		// makes is paid by the frame push or clock read that follows.
+		ep.cpu.Sync()
+		if ep.dev.HostRecvQ.Empty() {
+			break
+		}
 		if ep.cfg.DrainLimit > 0 && delivered >= ep.cfg.DrainLimit {
 			break
 		}
@@ -45,6 +53,7 @@ func (ep *Endpoint) Extract() int {
 // standing in for a poll loop; the detection cost is charged by the
 // Extract call that follows.
 func (ep *Endpoint) WaitIncoming() {
+	ep.cpu.Sync()
 	for ep.dev.HostRecvQ.Empty() && !ep.retryDue() {
 		ep.cpu.Wait(ep.dev.HostRecvAvail)
 	}
@@ -58,7 +67,10 @@ func (ep *Endpoint) retryDue() bool {
 }
 
 // HasIncoming reports whether Extract would find packets.
-func (ep *Endpoint) HasIncoming() bool { return !ep.dev.HostRecvQ.Empty() }
+func (ep *Endpoint) HasIncoming() bool {
+	ep.cpu.Sync()
+	return !ep.dev.HostRecvQ.Empty()
+}
 
 // popRecv dequeues one packet from the host receive queue, charging the
 // per-packet host costs.
@@ -170,9 +182,12 @@ func (ep *Endpoint) deliver(pkt *myrinet.Packet) {
 	}
 	ep.cpu.MemRead(len(pkt.Payload))
 	ep.cpu.Advance(ep.p.HostHandlerDispatch)
+	// Reading the clock settles the charges above, so the handler starts
+	// at its true virtual time and may touch anything.
+	now := ep.Now()
 	ep.stats.Delivered++
 	if pkt.Injected > 0 {
-		ep.latency.Record(ep.Now().Sub(pkt.Injected))
+		ep.latency.Record(now.Sub(pkt.Injected))
 	}
 	h(pkt.Src, pkt.Payload)
 	ep.release(pkt)
@@ -215,7 +230,11 @@ func (ep *Endpoint) shedOverload() {
 	if ep.cfg.RejectThreshold <= 0 || ep.cfg.Protocol != ReturnToSender {
 		return
 	}
-	for ep.dev.HostRecvQ.Len() > ep.cfg.RejectThreshold {
+	for {
+		ep.cpu.Sync()
+		if ep.dev.HostRecvQ.Len() <= ep.cfg.RejectThreshold {
+			return
+		}
 		pkt := ep.popRecv()
 		switch pkt.Type {
 		case myrinet.Data, myrinet.Retransmit:

@@ -8,6 +8,7 @@ import (
 	"fm/internal/cluster"
 	"fm/internal/core"
 	"fm/internal/cost"
+	"fm/internal/myrinet"
 	"fm/internal/sim"
 )
 
@@ -244,6 +245,51 @@ func TestRejectQueueNeverOverflows(t *testing.T) {
 	}
 	if c.EPs[0].Stats().Retransmits == 0 {
 		t.Error("scenario failed to exercise retransmission")
+	}
+}
+
+// TestShedOverloadRechecksAfterAck: host charges are deferred (package
+// host), so the shed loop must look at the receive queue at its true
+// time. Node 1's queue holds a data frame and two acks; with DrainLimit
+// 1 and RejectThreshold 1, Extract delivers the data frame and the shed
+// loop processes the first ack. A frame that lands while that ack is
+// being processed puts the queue back over the threshold, so the loop
+// must go on to the second ack and leave only the late frame queued.
+func TestShedOverloadRechecksAfterAck(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.RejectThreshold, cfg.DrainLimit = 1, 1
+	c := cluster.NewFM(2, cfg, cost.Default())
+	dev := c.Devs[1]
+	frame := func(typ myrinet.PacketType, seq uint64) *myrinet.Packet {
+		pk := c.Fab.NewPacket()
+		pk.Src, pk.Dst, pk.Type, pk.Seq = 0, 1, typ, seq
+		pk.HeaderBytes = c.P.FMHeaderBytes
+		if typ == myrinet.Ack {
+			pk.Acks = append(pk.Acks, myrinet.SeqRange{Lo: seq, Hi: seq})
+		}
+		return pk
+	}
+	late := frame(myrinet.Data, 2)
+	for _, pk := range []*myrinet.Packet{frame(myrinet.Data, 1), frame(myrinet.Ack, 7), frame(myrinet.Ack, 8)} {
+		dev.HostRecvQ.Push(pk)
+	}
+	c.Start(1, func(ep *core.Endpoint) {
+		ep.RegisterHandler(0, func(int, []byte) {
+			// An ack costs the host well over 500ns to pop and process.
+			c.K.At(ep.Now().Add(500*sim.Nanosecond), func() { dev.HostRecvQ.Push(late) })
+		})
+		if n := ep.Extract(); n != 1 {
+			t.Errorf("Extract delivered %d frames, want 1", n)
+		}
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := dev.HostRecvQ.Len(); n != 1 || dev.HostRecvQ.Peek() != late {
+		t.Errorf("receive queue holds %d frames, want only the late one", n)
+	}
+	if s := c.EPs[1].Stats(); s.RejectsSent != 0 {
+		t.Errorf("%d rejects sent, want 0", s.RejectsSent)
 	}
 }
 

@@ -7,6 +7,14 @@
 // process: every messaging-layer call it makes advances virtual time by
 // the host cost of that call, exactly as the paper's user-level library
 // consumed SPARC cycles.
+//
+// Pure computation (Advance, Memcpy, MemRead) is charged lazily with
+// sim.Proc.Charge: the process runs on ahead of the clock and pays the
+// charges as one chain of kernel events at its next settle, instead of
+// one process wake per charge. Bus accesses and waits settle on their
+// own; a messaging layer calls Sync before it reads or writes anything
+// the LANai also touches (its queues and counters), so every such access
+// happens at the instant it would have with one sleep per charge.
 package host
 
 import (
@@ -66,18 +74,19 @@ func (c *CPU) Proc() *sim.Proc {
 // Now returns the current virtual time.
 func (c *CPU) Now() sim.Time { return c.K.Now() }
 
-// Advance charges d of pure host computation. Like every blocking CPU
-// method, it costs no heap allocation in the steady state: sleeps and
-// signal waits schedule argument-style kernel events and reuse the
-// process's embedded wait registration (see DESIGN.md "Performance"),
-// so per-message host charges never churn the garbage collector.
-func (c *CPU) Advance(d sim.Duration) { c.Proc().Sleep(d) }
+// Advance charges d of pure host computation. The charge is deferred
+// (see the package comment) and, like every CPU method, costs no heap
+// allocation in the steady state: settle chains, sleeps and signal
+// waits schedule argument-style kernel events and reuse the process's
+// embedded wait registration (see DESIGN.md "Performance"), so
+// per-message host charges never churn the garbage collector.
+func (c *CPU) Advance(d sim.Duration) { c.Proc().Charge(d) }
 
 // Memcpy charges a host memory-to-memory copy of n bytes (user buffer to
 // pinned DMA region; ~34 MB/s effective).
 func (c *CPU) Memcpy(n int) {
 	if n > 0 {
-		c.Proc().Sleep(c.P.MemcpyTime(n))
+		c.Proc().Charge(c.P.MemcpyTime(n))
 	}
 }
 
@@ -85,7 +94,16 @@ func (c *CPU) Memcpy(n int) {
 // DMA region (cached reads).
 func (c *CPU) MemRead(n int) {
 	if n > 0 {
-		c.Proc().Sleep(sim.Duration(n) * c.P.HostMemReadByte)
+		c.Proc().Charge(sim.Duration(n) * c.P.HostMemReadByte)
+	}
+}
+
+// Sync pays the application's pending charges, so that what it does
+// next happens at its true virtual time. Messaging layers call it before
+// touching LANai-visible state. Outside an application it does nothing.
+func (c *CPU) Sync() {
+	if c.proc != nil {
+		c.proc.Settle()
 	}
 }
 

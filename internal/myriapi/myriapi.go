@@ -167,6 +167,7 @@ func (ep *Endpoint) Send(dst, handler int, payload []byte) error {
 			blocks = 1
 		}
 		ep.cpu.Advance(sim.Duration(blocks) * ep.p.APIDescriptorCost)
+		ep.cpu.Sync()
 		for ep.dev.HostOutQ.Full() {
 			ep.cpu.StatusRead()
 			if ep.dev.HostOutQ.Full() {
@@ -174,10 +175,12 @@ func (ep *Endpoint) Send(dst, handler int, payload []byte) error {
 			}
 		}
 		ep.cpu.Memcpy(pkt.WireBytes())
+		ep.cpu.Sync()
 		ep.dev.HostOutQ.Push(pkt)
 		ep.cpu.ControlWrite()
 		ep.cpu.ControlWrite()
 	} else {
+		ep.cpu.Sync()
 		for ep.dev.SendQ.Full() {
 			ep.cpu.StatusRead()
 			if ep.dev.SendQ.Full() {
@@ -198,7 +201,13 @@ func (ep *Endpoint) Send(dst, handler int, payload []byte) error {
 func (ep *Endpoint) Extract() int {
 	ep.cpu.Advance(ep.p.HostExtractPoll)
 	n := 0
-	for !ep.dev.HostRecvQ.Empty() {
+	for {
+		// Host charges are deferred (package host): sync before every
+		// look at the card's queue, and before the handler below.
+		ep.cpu.Sync()
+		if ep.dev.HostRecvQ.Empty() {
+			break
+		}
 		pkt := ep.dev.HostRecvQ.Pop()
 		ep.consumed++
 		ep.cpu.Advance(ep.p.APIRecvFixed)
@@ -223,6 +232,7 @@ func (ep *Endpoint) Extract() int {
 		}
 		ep.cpu.MemRead(len(pkt.Payload))
 		ep.cpu.Advance(ep.p.HostHandlerDispatch)
+		ep.cpu.Sync()
 		h(pkt.Src, pkt.Payload)
 		ep.dev.Fab.Release(pkt) // the buffer dies with the handler
 		n++
@@ -232,6 +242,7 @@ func (ep *Endpoint) Extract() int {
 
 // WaitIncoming blocks until a message is available.
 func (ep *Endpoint) WaitIncoming() {
+	ep.cpu.Sync()
 	for ep.dev.HostRecvQ.Empty() {
 		ep.cpu.Wait(ep.dev.HostRecvAvail)
 	}

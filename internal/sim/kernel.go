@@ -45,6 +45,13 @@ type Kernel struct {
 	// Proc.parkSlot, so parking and unparking cost O(1) without hashing.
 	parked []*Proc
 
+	// ahead is the process that has run ahead of the clock: it recorded
+	// host charges with Proc.Charge that it has not yet paid. Only the
+	// running process can be ahead (a process settles before it blocks),
+	// and every entry point that reads the clock, schedules an event or
+	// touches a waiter list settles it first (see Proc.Charge).
+	ahead *Proc
+
 	nextProc  int
 	trace     *Trace
 	eventsRun uint64
@@ -55,8 +62,20 @@ func NewKernel() *Kernel {
 	return &Kernel{}
 }
 
-// Now returns the current virtual time.
-func (k *Kernel) Now() Time { return k.now }
+// Now returns the current virtual time. Called from a process that is
+// ahead of the clock, it first pays the process's pending charges.
+func (k *Kernel) Now() Time {
+	k.settleAhead()
+	return k.now
+}
+
+// settleAhead pays the pending charges of the process that is ahead of
+// the clock, if any (see Proc.Charge).
+func (k *Kernel) settleAhead() {
+	if p := k.ahead; p != nil {
+		p.Settle()
+	}
+}
 
 // Stopped reports whether the kernel is tearing down: Run has passed
 // its horizon, or Finish has run. Teardown still drains pending events;
@@ -81,6 +100,7 @@ func (k *Kernel) At(t Time, fn func()) {
 // event. arg must not be retained by the caller in a way that outlives
 // the event unless that is intended.
 func (k *Kernel) AtArg(t Time, fn func(any), arg any) {
+	k.settleAhead()
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, k.now))
 	}
@@ -95,7 +115,7 @@ func (k *Kernel) After(d Duration, fn func()) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	k.At(k.now.Add(d), fn)
+	k.At(k.Now().Add(d), fn)
 }
 
 // AfterArg schedules fn(arg) to run d after the current time (the
@@ -104,7 +124,7 @@ func (k *Kernel) AfterArg(d Duration, fn func(any), arg any) {
 	if d < 0 {
 		panic("sim: negative delay")
 	}
-	k.AtArg(k.now.Add(d), fn, arg)
+	k.AtArg(k.Now().Add(d), fn, arg)
 }
 
 // drive outcomes.

@@ -66,7 +66,18 @@ type Proc struct {
 	// suffices — Wait allocates nothing. Timed waits (WaitTimeout) use a
 	// fresh registration because their timer event can outlive the wait.
 	wreg waitReg
+
+	// charges[:nCharges] are the durations recorded by Charge and not yet
+	// paid. While settle's chain is in flight, link indexes the next one
+	// to schedule.
+	charges  [maxCharges]Duration
+	nCharges int
+	link     int
 }
+
+// maxCharges is how many charges a process can run ahead by. A Charge
+// past it settles the ones before it first.
+const maxCharges = 8
 
 // Name returns the name the process was spawned with.
 func (p *Proc) Name() string { return p.name }
@@ -74,12 +85,14 @@ func (p *Proc) Name() string { return p.name }
 // Kernel returns the kernel this process runs on.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.k.now }
+// Now returns the current virtual time, after paying any pending
+// charges.
+func (p *Proc) Now() Time { return p.k.Now() }
 
 // Spawn creates a process running fn, starting at the current virtual
 // time (after already-queued events at this instant).
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
+	k.settleAhead()
 	k.nextProc++
 	p := &Proc{k: k, id: k.nextProc, name: name, fn: fn}
 	k.scheduleWake(k.now, p)
@@ -97,6 +110,11 @@ func (p *Proc) run() {
 				k.fail(procFailure{proc: p.name, val: r, driving: p.driving})
 			}
 		}
+		// Charges recorded on the way out of a panic are never paid.
+		p.nCharges = 0
+		if k.ahead == p {
+			k.ahead = nil
+		}
 		p.dead = true
 		// A panic that unwound through a blocking primitive (possibly
 		// while this process was driving another component's event)
@@ -105,6 +123,7 @@ func (p *Proc) run() {
 		k.unpark(p)
 	}()
 	p.fn(p)
+	p.Settle()
 }
 
 // block gives up control until the process's wake. The blocking process
@@ -137,6 +156,12 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
+	if p.nCharges > 0 {
+		// The sleep is the last link of the pending chain.
+		p.Charge(d)
+		p.Settle()
+		return
+	}
 	// Hand-inlined scheduleWake: Sleep is the hottest schedule site in
 	// process-heavy simulations.
 	k := p.k
@@ -154,11 +179,90 @@ func (p *Proc) Sleep(d Duration) {
 // SleepUntil blocks the process until absolute time t. If t is not after
 // the current time, it still yields once.
 func (p *Proc) SleepUntil(t Time) {
+	p.Settle()
 	if t < p.k.now {
 		t = p.k.now
 	}
 	p.k.scheduleWake(t, p)
 	p.block()
+}
+
+// Charge advances the process's local time by d without yielding: it
+// records d, and the process pays it (and any charges recorded before
+// it) the next time it settles. It is the deferred form of Sleep for
+// pure computation. The code a process runs between Charge and its next
+// settle may touch only the process's own state; anything it shares
+// with other processes or devices must be read or written after a
+// settle.
+//
+// Settling is automatic at every blocking primitive (Sleep, SleepUntil,
+// Wait, WaitTimeout, WaitFor, Use), at every clock read (Proc.Now,
+// Kernel.Now), at every schedule or waiter-list change made while the
+// process is ahead (At, After, Spawn, Pulse, Notify, Resource
+// reservations), and when the process function returns; Settle does it
+// explicitly. A settle schedules the pending charges as a chain of
+// events: the first at now+d0 with the sequence number Sleep(d0) would
+// have taken, each intermediate link an event callback that schedules
+// the next, the last the process's ordinary wake. Because nothing else
+// can schedule between the charges, every link takes exactly the
+// (time, sequence) place of the Sleep wake it replaces, so event order,
+// EventsRun and every output are those of one Sleep per charge, without
+// the process switch per charge.
+func (p *Proc) Charge(d Duration) {
+	if d < 0 {
+		panic("sim: negative charge")
+	}
+	if p.nCharges == maxCharges {
+		p.Settle()
+	}
+	p.charges[p.nCharges] = d
+	p.nCharges++
+	p.k.ahead = p
+}
+
+// Settle pays the process's pending charges, blocking until virtual
+// time has caught up with it: it schedules them as an event chain and
+// blocks until the last link wakes the process. Code that reads or
+// writes state shared with other processes or devices calls it first
+// (see Charge).
+func (p *Proc) Settle() {
+	n := p.nCharges
+	if n == 0 {
+		return
+	}
+	k := p.k
+	k.ahead = nil
+	t := k.now.Add(p.charges[0])
+	if n == 1 {
+		p.nCharges = 0
+		k.scheduleWake(t, p)
+	} else {
+		p.link = 1
+		k.AtArg(t, chargeStep, p)
+	}
+	p.block()
+}
+
+// chargeStep is an intermediate link of a settle chain: it schedules
+// the next link at the instant the process, resumed here, would have
+// slept from. During teardown it wakes the process instead, which
+// unwinds exactly as it would from a Sleep.
+func chargeStep(a any) {
+	p := a.(*Proc)
+	k := p.k
+	if k.stopped {
+		p.nCharges = 0
+		k.requestWake(p)
+		return
+	}
+	t := k.now.Add(p.charges[p.link])
+	p.link++
+	if p.link == p.nCharges {
+		p.nCharges = 0
+		k.scheduleWake(t, p)
+		return
+	}
+	k.AtArg(t, chargeStep, p)
 }
 
 // park records the process as signal-blocked and yields. The waker is

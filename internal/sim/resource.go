@@ -32,7 +32,7 @@ func (r *Resource) Name() string { return r.name }
 // start and end instants. It does not block; device state machines use it
 // to compute completion times for events.
 func (r *Resource) Reserve(d Duration) (start, end Time) {
-	start = r.k.now
+	start = r.k.Now()
 	if r.free > start {
 		start = r.free
 	}
@@ -48,7 +48,7 @@ func (r *Resource) Reserve(d Duration) (start, end Time) {
 // (e.g. a packet head reaching a switch output port) use it to express
 // "ready at t, then FIFO".
 func (r *Resource) ReserveAt(earliest Time, d Duration) (start, end Time) {
-	start = r.k.now
+	start = r.k.Now()
 	if earliest > start {
 		start = earliest
 	}
@@ -73,15 +73,18 @@ func (r *Resource) BusyTime() Duration { return r.busy }
 
 // Utilization returns busy time divided by elapsed virtual time.
 func (r *Resource) Utilization() float64 {
-	if r.k.now == 0 {
+	now := r.k.Now()
+	if now == 0 {
 		return 0
 	}
-	return float64(r.busy) / float64(r.k.now)
+	return float64(r.busy) / float64(now)
 }
 
 // Use blocks the calling process while it holds the resource for d:
 // it reserves the next available interval and sleeps until the interval
 // ends. It returns the instant service began (after any queueing delay).
+// The reservation reads the clock, which pays any pending charges
+// first, so it is made at the instant the process really arrives.
 func (p *Proc) Use(r *Resource, d Duration) Time {
 	start, end := r.Reserve(d)
 	p.SleepUntil(end)

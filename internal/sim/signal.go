@@ -48,6 +48,7 @@ func (s *Signal) Pulses() uint64 { return s.pulses }
 // order they registered. A callback's event takes exactly the queue
 // position a process wake would have taken.
 func (s *Signal) Pulse() {
+	s.k.settleAhead()
 	s.pulses++
 	if len(s.waiters) == 0 {
 		return
@@ -88,6 +89,7 @@ func (s *Signal) PulseAfter(d Duration) { s.k.AfterArg(d, pulseArg, s) }
 // registration's storage and must not already be registered. Like Wait,
 // Notify does not see pulses that came before it.
 func (s *Signal) Notify(w *Waiter, fn func(any), arg any) {
+	s.k.settleAhead()
 	w.fn, w.arg = fn, arg
 	w.reg = waitReg{cb: w}
 	s.waiters = append(s.waiters, &w.reg)
@@ -99,6 +101,7 @@ func (s *Signal) Notify(w *Waiter, fn func(any), arg any) {
 // is woken (Pulse detaches the whole list before scheduling resumes), so
 // it can never alias a later wait.
 func (p *Proc) Wait(s *Signal) {
+	p.Settle()
 	reg := &p.wreg
 	reg.p = p
 	reg.fired = false
@@ -110,6 +113,7 @@ func (p *Proc) Wait(s *Signal) {
 // WaitTimeout blocks until the next Pulse or until d elapses, whichever
 // comes first. It reports true if the signal fired and false on timeout.
 func (p *Proc) WaitTimeout(s *Signal, d Duration) bool {
+	p.Settle()
 	reg := &waitReg{p: p}
 	s.waiters = append(s.waiters, reg)
 	k := p.k
@@ -140,6 +144,7 @@ func (p *Proc) WaitTimeout(s *Signal, d Duration) bool {
 // WaitFor repeatedly waits on s until cond() is true. cond is checked
 // before the first wait, so a satisfied condition never blocks.
 func (p *Proc) WaitFor(s *Signal, cond func() bool) {
+	p.Settle()
 	for !cond() {
 		p.Wait(s)
 	}

@@ -5,10 +5,12 @@
 // executing events from a priority queue ordered by (time, insertion
 // sequence). Simulated activities may be expressed either as plain event
 // callbacks or as processes: ordinary Go functions running on their own
-// coroutine that block on kernel primitives (Sleep, Wait, Use). The kernel
-// is the only resumer of those coroutines and runs at most one process at
-// any instant, so simulations are fully deterministic and race-free
-// regardless of host parallelism.
+// coroutine that block on kernel primitives (Sleep, Wait, Use), or that
+// record pure computation with Charge and pay it, as a chain of events
+// that does not wake them, at their next blocking call or clock read.
+// The kernel is the only resumer of those coroutines and runs at most
+// one process at any instant, so simulations are fully deterministic
+// and race-free regardless of host parallelism.
 package sim
 
 import "fmt"

@@ -28,7 +28,7 @@ func (k *Kernel) Tracef(cat, format string, args ...any) {
 		return
 	}
 	fmt.Fprintf(k.trace.w, "%12.3f us [%-8s] %s\n",
-		k.now.Microseconds(), cat, fmt.Sprintf(format, args...))
+		k.Now().Microseconds(), cat, fmt.Sprintf(format, args...))
 }
 
 // Tracing reports whether tracing is enabled, so callers can skip
