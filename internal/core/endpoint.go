@@ -56,8 +56,8 @@ type Endpoint struct {
 
 	// Send side.
 	nextSeq            uint64
-	outstanding        map[uint64]int // seq -> destination
-	outPerDst          map[int]int    // per-destination outstanding (SlidingWindow)
+	out                outQueue    // unacknowledged sends by seq
+	outPerDst          map[int]int // per-destination outstanding; nil unless SlidingWindow
 	rejectQ            *ring.Ring[rejectedEntry]
 	cachedSendConsumed uint64 // host's cached copy of the LANai's counter
 	cachedOutConsumed  uint64 // all-DMA staging equivalent
@@ -71,14 +71,16 @@ type Endpoint struct {
 	consumed     uint64           // packets popped from the host receive queue
 	consumedSync uint64           // last value pushed to the LANai register
 
-	// Exactly-once screen (CheckInvariants) / duplicate counting.
-	seen map[int]map[uint64]bool
+	// Exactly-once screen (CheckInvariants) / duplicate counting: one
+	// bounded window per source that has sent here.
+	seen map[int]*dupWindow
 
 	stats Stats
 	// latency records network-injection-to-handler delivery time for
 	// every data packet this endpoint delivers, including the tail that
-	// rejection and retransmission add.
-	latency stats.Histogram
+	// rejection and retransmission add. It is 16 KB, so it is allocated
+	// at the first delivery rather than with every endpoint.
+	latency *stats.Histogram
 }
 
 // New creates the endpoint for one node. The caller starts the matching
@@ -91,20 +93,21 @@ func New(cpu *host.CPU, dev *lanai.Device, cfg Config, p *cost.Params) *Endpoint
 // stack arena).
 func NewAt(ep *Endpoint, cpu *host.CPU, dev *lanai.Device, cfg Config, p *cost.Params) *Endpoint {
 	*ep = Endpoint{
-		cpu:         cpu,
-		dev:         dev,
-		cfg:         cfg,
-		p:           p,
-		handlers:    make([]Handler, cfg.MaxHandlers),
-		outstanding: make(map[uint64]int),
-		outPerDst:   make(map[int]int),
+		cpu:      cpu,
+		dev:      dev,
+		cfg:      cfg,
+		p:        p,
+		handlers: make([]Handler, cfg.MaxHandlers),
 		// Twice the window: receiver rejects are covered by the window
 		// reservation (Section 4.5), but fabric fault bounces can also
 		// return Acks, which hold no window slot. Ring capacity is
 		// timing-neutral, so faultless runs are unchanged.
 		rejectQ:     ring.New[rejectedEntry](fmt.Sprintf("host%d.reject", dev.ID), cfg.WindowSlots*2),
 		pendingAcks: make(map[int][]uint64),
-		seen:        make(map[int]map[uint64]bool),
+		seen:        make(map[int]*dupWindow),
+	}
+	if cfg.Protocol == SlidingWindow {
+		ep.outPerDst = make(map[int]int)
 	}
 	return ep
 }
@@ -120,10 +123,15 @@ func (ep *Endpoint) Stats() Stats { return ep.stats }
 
 // LatencyHistogram exposes the delivery-latency distribution (first
 // network injection to handler dispatch) of packets received here.
-func (ep *Endpoint) LatencyHistogram() *stats.Histogram { return &ep.latency }
+func (ep *Endpoint) LatencyHistogram() *stats.Histogram {
+	if ep.latency == nil {
+		ep.latency = new(stats.Histogram)
+	}
+	return ep.latency
+}
 
 // Outstanding returns the number of unacknowledged packets in flight.
-func (ep *Endpoint) Outstanding() int { return len(ep.outstanding) }
+func (ep *Endpoint) Outstanding() int { return ep.out.live }
 
 // Now returns the current virtual time.
 func (ep *Endpoint) Now() sim.Time { return ep.cpu.Now() }
@@ -194,8 +202,10 @@ func (ep *Endpoint) Send(dst, handler int, payload []byte) error {
 		ep.waitWindow(dst)
 		ep.nextSeq++
 		pkt.Seq = ep.nextSeq
-		ep.outstanding[pkt.Seq] = dst
-		ep.outPerDst[dst]++
+		ep.out.push(pkt.Seq, dst)
+		if ep.cfg.Protocol == SlidingWindow {
+			ep.outPerDst[dst]++
+		}
 		if ep.cfg.PiggybackAcks {
 			ep.attachAcks(pkt)
 		}
@@ -240,7 +250,7 @@ func (ep *Endpoint) windowFull(dst int) bool {
 	if ep.cfg.Protocol == SlidingWindow {
 		return ep.outPerDst[dst] >= ep.cfg.WindowPerDest
 	}
-	return len(ep.outstanding) >= ep.cfg.WindowSlots
+	return ep.out.live >= ep.cfg.WindowSlots
 }
 
 // queueAck records an accepted sequence for a future acknowledgement and
@@ -290,8 +300,13 @@ func (ep *Endpoint) attachAcks(pkt *myrinet.Packet) {
 // send call stay pending (package host) until the frame first touches
 // the card: the queue-space check, or, under buffer management, whose
 // cached-counter check reads only host-owned counters, the bus access
-// that follows it. Either settles them as one chain.
+// that follows it. Either settles them as one chain. A data frame is
+// stamped with this sender's lowest unacknowledged seq for the
+// receiver's duplicate screen.
 func (ep *Endpoint) pushFrame(pkt *myrinet.Packet) {
+	if pkt.Type == myrinet.Data || pkt.Type == myrinet.Retransmit {
+		pkt.LowSeq = ep.out.low(ep.nextSeq + 1)
+	}
 	if ep.cfg.SBusMode == AllDMA {
 		ep.pushFrameAllDMA(pkt)
 		return

@@ -187,26 +187,24 @@ func (ep *Endpoint) deliver(pkt *myrinet.Packet) {
 	now := ep.Now()
 	ep.stats.Delivered++
 	if pkt.Injected > 0 {
-		ep.latency.Record(now.Sub(pkt.Injected))
+		ep.LatencyHistogram().Record(now.Sub(pkt.Injected))
 	}
 	h(pkt.Src, pkt.Payload)
 	ep.release(pkt)
 }
 
 // isDuplicate screens (src, seq) pairs. Under the protocol duplicates are
-// impossible (a packet is either accepted or rejected, never both, and
-// the network is reliable); the screen exists to verify that invariant.
+// impossible (a frame is either accepted or returned, never both, and a
+// fabric bounce returns a frame that was never delivered); the screen
+// exists to verify that invariant. Its memory per source is bounded by
+// that source's in-flight seq range (dupWindow).
 func (ep *Endpoint) isDuplicate(pkt *myrinet.Packet) bool {
-	m := ep.seen[pkt.Src]
-	if m == nil {
-		m = make(map[uint64]bool)
-		ep.seen[pkt.Src] = m
+	w := ep.seen[pkt.Src]
+	if w == nil {
+		w = newDupWindow()
+		ep.seen[pkt.Src] = w
 	}
-	if m[pkt.Seq] {
-		return true
-	}
-	m[pkt.Seq] = true
-	return false
+	return !w.admit(pkt.LowSeq, pkt.Seq)
 }
 
 // processAcks releases outstanding slots for acknowledged sequences.
@@ -214,8 +212,7 @@ func (ep *Endpoint) processAcks(ranges []myrinet.SeqRange) {
 	ep.cpu.Advance(ep.p.HostFlowControlRecv)
 	for _, r := range ranges {
 		for s := r.Lo; s <= r.Hi; s++ {
-			if dst, ok := ep.outstanding[s]; ok {
-				delete(ep.outstanding, s)
+			if dst, ok := ep.out.ack(s); ok && ep.cfg.Protocol == SlidingWindow {
 				ep.outPerDst[dst]--
 			}
 		}

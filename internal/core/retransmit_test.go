@@ -205,3 +205,109 @@ func TestDuplicateDeliveryScreened(t *testing.T) {
 		t.Fatalf("Delivered = %d, want 1", rst.Delivered)
 	}
 }
+
+// TestDuplicateBelowMarkScreened forges a copy of seq 1 after the
+// sender's acknowledged prefix has carried the receiver's low-water
+// mark past it: the bitmap no longer holds seq 1, so only the mark can
+// catch the copy. The forged frame carries a zero stamp, as a stale
+// frame would.
+func TestDuplicateBelowMarkScreened(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.CheckInvariants = false // the forged duplicate must count, not panic
+	p := cost.Default()
+	c := cluster.NewFM(2, cfg, p)
+	const msgs = 200
+	forgeAt := sim.Time(2 * sim.Millisecond)
+
+	fab := c.Fab
+	fab.Kernel().AtArg(forgeAt, func(any) {
+		if mark, _ := core.ScreenOf(c.EPs[1], 0); mark <= 64 {
+			t.Errorf("mark %d at the forge has not passed seq 1's bitmap word", mark)
+		}
+		pkt := fab.NewPacket()
+		pkt.Src, pkt.Dst = 0, 1
+		pkt.Type = myrinet.Retransmit
+		pkt.Seq = 1
+		pkt.HeaderBytes = p.FMHeaderBytes
+		pkt.SetPayload(make([]byte, 16))
+		fab.Inject(pkt)
+	}, nil)
+
+	recv := 0
+	c.Start(1, func(ep *core.Endpoint) {
+		ep.RegisterHandler(0, func(src int, payload []byte) { recv++ })
+		for recv < msgs+1 {
+			ep.WaitIncoming()
+			ep.Extract()
+		}
+		settlePoll(ep, forgeAt+sim.Time(100*sim.Microsecond))
+	})
+	c.Start(0, func(ep *core.Endpoint) {
+		// The last send goes out with nothing else in flight, so its
+		// stamp is its own seq.
+		for i := 0; i <= msgs; i++ {
+			if i == msgs {
+				for ep.Outstanding() > 0 {
+					ep.WaitIncoming()
+					ep.Extract()
+				}
+			}
+			ep.Send4(1, 0, uint32(i), 0, 0, 0)
+		}
+		for ep.Outstanding() > 0 {
+			ep.WaitIncoming()
+			ep.Extract()
+		}
+		settlePoll(ep, forgeAt+sim.Time(100*sim.Microsecond))
+	})
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if recv != msgs+1 {
+		t.Fatalf("handler ran %d times, want %d", recv, msgs+1)
+	}
+	if d := c.EPs[1].Stats().Duplicates; d != 1 {
+		t.Fatalf("Duplicates = %d, want the forged copy screened", d)
+	}
+}
+
+// TestDuplicateScreenBounded runs a long all-to-all and checks that
+// every receiver's screen ends holding a few bitmap words per source,
+// bounded by the window, not one entry per message delivered.
+func TestDuplicateScreenBounded(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.CheckInvariants = true
+	const n, perSrc = 8, 3500
+	c := cluster.NewFM(n, cfg, cost.Default())
+	for id := 0; id < n; id++ {
+		id := id
+		c.Start(id, func(ep *core.Endpoint) {
+			got := 0
+			ep.RegisterHandler(0, func(int, []byte) { got++ })
+			for i := 0; i < perSrc; i++ {
+				ep.Send4((id+1+i%(n-1))%n, 0, uint32(i), 0, 0, 0)
+				ep.Extract()
+			}
+			for got < perSrc || ep.Outstanding() > 0 {
+				ep.WaitIncoming()
+				ep.Extract()
+			}
+		})
+	}
+	if err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	bound := cfg.WindowSlots/64 + 2
+	for dst, ep := range c.EPs {
+		for src := 0; src < n; src++ {
+			if src == dst {
+				continue
+			}
+			mark, words := core.ScreenOf(ep, src)
+			if words > bound || mark < perSrc-uint64(64*bound) {
+				t.Errorf("node %d screen for %d: mark %d, %d words (bound %d) after %d seqs",
+					dst, src, mark, words, bound, perSrc)
+			}
+		}
+	}
+}

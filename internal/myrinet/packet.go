@@ -6,7 +6,8 @@ package myrinet
 
 import (
 	"fmt"
-	"hash/fnv"
+	"hash/maphash"
+	"math/bits"
 
 	"fm/internal/sim"
 )
@@ -102,9 +103,24 @@ type Packet struct {
 	// frame instead of delivering it.
 	Corrupt bool
 
-	// crc is a frame check sequence computed at injection and verified
-	// at delivery; it catches buffer-aliasing bugs in the layers above
-	// (a payload mutated while "on the wire" means a missing copy).
+	// pooled marks a packet currently parked in its fabric's free list;
+	// it catches double-release and use-after-release ownership bugs.
+	// (It sits with the other flags so the struct packs into 144 bytes.)
+	pooled bool
+
+	// LowSeq is the sender's lowest unacknowledged sequence number when
+	// it pushed the frame: every lower seq it sent is already accepted
+	// by its receiver, so a receiver can screen duplicates with a
+	// bounded window (package core). Model-only bookkeeping: it is not
+	// counted in HeaderBytes.
+	LowSeq uint64
+
+	// crc is the simulator's frame check, stamped at every injection and
+	// re-seal and verified at delivery; it catches buffer-aliasing bugs
+	// in the layers above (a header or payload mutated while "on the
+	// wire" means a missing copy). It is not the modelled link CRC —
+	// corruption is the Corrupt flag — and its value depends on a
+	// per-process hash seed, so it must never reach an output.
 	crc uint64
 
 	// xsw is sharded-run transit state: the switch index at which the
@@ -114,10 +130,6 @@ type Packet struct {
 	// reroutes a mid-flight packet around a component that died while it
 	// was crossing.
 	xsw int
-
-	// pooled marks a packet currently parked in its fabric's free list;
-	// it catches double-release and use-after-release ownership bugs.
-	pooled bool
 }
 
 // reset clears a packet for reuse, retaining the payload and ack
@@ -140,24 +152,28 @@ func (p *Packet) SetPayload(b []byte) {
 // WireBytes returns the total bytes the frame occupies on a link.
 func (p *Packet) WireBytes() int { return p.HeaderBytes + len(p.Payload) }
 
-// checksum hashes the fields that must be immutable in flight.
-func (p *Packet) checksum() uint64 {
-	h := fnv.New64a()
-	var hdr [8]byte
-	hdr[0] = byte(p.Src)
-	hdr[1] = byte(p.Dst)
-	hdr[2] = byte(p.Type)
-	hdr[3] = byte(p.Handler)
-	hdr[4] = byte(p.Seq)
-	hdr[5] = byte(p.Seq >> 8)
-	hdr[6] = byte(p.Seq >> 16)
-	hdr[7] = byte(p.Seq >> 24)
-	h.Write(hdr[:])
-	h.Write(p.Payload)
-	return h.Sum64()
+// frameSeed keys the frame check. maphash seeds differ per process, so
+// frame-check values are comparable only within one run.
+var frameSeed = maphash.MakeSeed()
+
+// mix folds two words through a full 64x64→128-bit multiply.
+func mix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
 }
 
-// Seal stamps the frame check sequence prior to injection.
+// checksum hashes the wire fields that must be immutable in flight: the
+// payload word-wise with maphash, then Src, Dst, Handler, Seq and Type
+// at full width, folded in by multiplication. The odd constants keep a
+// zero field from zeroing its product.
+func (p *Packet) checksum() uint64 {
+	h := maphash.Bytes(frameSeed, p.Payload)
+	a := mix(uint64(p.Src)^0x9e3779b97f4a7c15, uint64(p.Dst)^0xbf58476d1ce4e5b9)
+	b := mix(uint64(p.Handler)^0x94d049bb133111eb, p.Seq^0xd6e8feb86659fd93)
+	return mix(a^h, b^uint64(p.Type))
+}
+
+// Seal stamps the frame check prior to injection.
 func (p *Packet) Seal() { p.crc = p.checksum() }
 
 // Verify reports whether the frame is intact.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"encoding/binary"
+	"fmt"
 
 	"fm/internal/core"
 	"fm/internal/myrinet"
@@ -112,6 +113,21 @@ func prepare(spec FabricSpec, pat Pattern, size int, fabs ...*myrinet.Fabric) (r
 	}
 	res.MeanHops = meanHops(fabs[0], sends, messages)
 	return res, sends, expect, maxSize
+}
+
+// checkPool enforces packet conservation once a run is quiet: every
+// packet taken from the fabric pools has been released back. The sum
+// runs over all shard replicas, since a packet issued on one replica
+// may be released on another.
+func checkPool(pattern, fabric string, fabs ...*myrinet.Fabric) {
+	out := 0
+	for _, f := range fabs {
+		out += f.Outstanding()
+	}
+	if out != 0 {
+		panic(fmt.Sprintf("workload: %s on %s ended with %d packets never released to the pool",
+			pattern, fabric, out))
+	}
 }
 
 // stamp writes a virtual instant into the payload head so the receiver

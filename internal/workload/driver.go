@@ -142,6 +142,7 @@ func DriveRaw(spec FabricSpec, p *cost.Params, pat Pattern, size int) Result {
 		panic(fmt.Sprintf("workload: %s on %s delivered %d/%d packets",
 			pat.Name(), spec.Name, dr.delivered, res.Messages))
 	}
+	checkPool(pat.Name(), spec.Name, f)
 	res.Elapsed = sim.Duration(dr.last)
 	return res
 }
@@ -173,6 +174,7 @@ func DriveFM(spec FabricSpec, cfg core.Config, p *cost.Params, pat Pattern, size
 	if err := c.Run(); err != nil {
 		panic(err)
 	}
+	checkPool(pat.Name(), spec.Name, c.Fab)
 	res.Elapsed = sim.Duration(c.K.Now())
 	return res
 }
@@ -247,6 +249,7 @@ func DriveMPI(spec FabricSpec, cfg core.Config, p *cost.Params, pat Pattern, siz
 	if err := c.Run(); err != nil {
 		panic(err)
 	}
+	checkPool(pat.Name(), spec.Name, c.Fab)
 	res.Elapsed = sim.Duration(c.K.Now())
 	return res
 }

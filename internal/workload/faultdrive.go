@@ -112,6 +112,7 @@ func DriveFMFaults(spec FabricSpec, cfg core.Config, p *cost.Params, pat Pattern
 	res.Fault = c.Fab.FaultStats()
 	res.Stranded = c.Fab.PendingStranded()
 	checkFaultRun(&res, spec.Name, pat.Name())
+	checkPool(pat.Name(), spec.Name, c.Fab)
 	return res
 }
 
@@ -166,6 +167,7 @@ func DriveFMFaultsSharded(spec FabricSpec, cfg core.Config, p *cost.Params, pat 
 		res.Stranded += f.PendingStranded()
 	}
 	checkFaultRun(&res, spec.Name, pat.Name())
+	checkPool(pat.Name(), spec.Name, c.Fabs...)
 	return res
 }
 

@@ -108,6 +108,7 @@ func DriveRawSharded(spec FabricSpec, p *cost.Params, pat Pattern, size, shards 
 		panic(fmt.Sprintf("workload: %s on %s delivered %d/%d packets",
 			pat.Name(), spec.Name, delivered, res.Messages))
 	}
+	checkPool(pat.Name(), spec.Name, fabs...)
 	mergeLatency(&res, hists)
 	res.Elapsed = sim.Duration(last)
 	res.Shards = g.Stats()
@@ -145,6 +146,7 @@ func DriveFMSharded(spec FabricSpec, cfg core.Config, p *cost.Params, pat Patter
 	if err := c.Run(); err != nil {
 		panic(err)
 	}
+	checkPool(pat.Name(), spec.Name, c.Fabs...)
 	mergeLatency(&res, hists)
 	res.Elapsed = sim.Duration(c.Group.Now())
 	res.Shards = c.Group.Stats()

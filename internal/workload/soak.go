@@ -212,6 +212,7 @@ func SoakDriveFM(spec FabricSpec, cfg core.Config, p *cost.Params, src Source, s
 		panic(fmt.Sprintf("workload: soak %s on %s left %d frames stranded",
 			src.Name(), spec.Name, stranded))
 	}
+	checkPool(src.Name(), spec.Name, c.Fab)
 	for i := 0; i < series.Len(); i++ {
 		res.Latency.Merge(&series.Window(i).Lat)
 	}
